@@ -2,11 +2,10 @@
 //
 // The paper's baseline is mantaflow's MICCG(0) (Algorithm 1, line 10).
 // This ablation quantifies why: iterations and wall time of MIC(0) vs
-// IC(0) vs Jacobi vs unpreconditioned CG vs geometric multigrid on the
-// same mid-simulation pressure systems across grid sizes.
+// IC(0) vs Jacobi vs unpreconditioned CG on the same mid-simulation
+// pressure systems across grid sizes.
 
 #include "bench/common.hpp"
-#include "fluid/multigrid.hpp"
 #include "fluid/pcg.hpp"
 
 #include <functional>
@@ -47,8 +46,6 @@ int main(int argc, char** argv) {
          p.preconditioner = fluid::Preconditioner::kNone;
          return std::make_unique<fluid::PcgSolver>(p);
        }},
-      {"Multigrid",
-       [] { return std::make_unique<fluid::MultigridSolver>(); }},
   };
 
   // Per-grid tables stay alive past the loop so they can all be mirrored

@@ -1,7 +1,7 @@
 // Solver-substrate scenario: compare every pressure Poisson solver in the
 // library — MICCG(0) / ICCG(0) / Jacobi-PCG / plain CG / red-black
-// Gauss-Seidel / weighted Jacobi / geometric multigrid — on the same
-// smoke-plume pressure systems across resolutions.
+// Gauss-Seidel / weighted Jacobi — on the same smoke-plume pressure
+// systems across resolutions.
 //
 // This exercises the solver substrate the paper's PCG baseline
 // (Algorithm 1, lines 7-17) is built on, and shows why MICCG(0) is
@@ -9,7 +9,6 @@
 //
 // Usage: ./examples/solver_comparison [--max-grid=96]
 
-#include "fluid/multigrid.hpp"
 #include "fluid/operators.hpp"
 #include "fluid/pcg.hpp"
 #include "fluid/relaxation.hpp"
@@ -55,8 +54,6 @@ int main(int argc, char** argv) {
          p.preconditioner = fluid::Preconditioner::kNone;
          return std::make_unique<fluid::PcgSolver>(p);
        }},
-      {"Multigrid",
-       [] { return std::make_unique<fluid::MultigridSolver>(); }},
       {"GaussSeidel",
        [] {
          fluid::RelaxationParams p;

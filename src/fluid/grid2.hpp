@@ -78,19 +78,27 @@ class Grid2 {
   /// Bilinear interpolation at grid-space position (x, y) where integer
   /// coordinates coincide with cell indices, i.e. the sample lattice of
   /// this grid. Callers convert world/staggered offsets before calling.
+  ///
+  /// This is the semi-Lagrangian hot loop (five samples per advected
+  /// cell), so it reads two raw rows. After the NaN-safe clamp x and y
+  /// are finite and non-negative, where truncation is floor; the upper
+  /// clamp keeps a sample on the last node inside the last cell.
   [[nodiscard]] T interpolate(double x, double y) const {
     x = clamp_coord(x, 0.0, static_cast<double>(nx_ - 1));
     y = clamp_coord(y, 0.0, static_cast<double>(ny_ - 1));
-    const int i0 = floor_cell(x, 0, nx_ - 2 >= 0 ? nx_ - 2 : 0);
-    const int j0 = floor_cell(y, 0, ny_ - 2 >= 0 ? ny_ - 2 : 0);
+    const int i0 = std::min(static_cast<int>(x), std::max(nx_ - 2, 0));  // sfn-lint: safe-cast (clamped above)
+    const int j0 = std::min(static_cast<int>(y), std::max(ny_ - 2, 0));  // sfn-lint: safe-cast (clamped above)
     const int i1 = std::min(i0 + 1, nx_ - 1);
     const int j1 = std::min(j0 + 1, ny_ - 1);
+    assert(inside(i0, j0) && inside(i1, j1));
+    const T* const row0 = data_.data() + static_cast<std::size_t>(j0) * nx_;
+    const T* const row1 = data_.data() + static_cast<std::size_t>(j1) * nx_;
     const double fx = x - i0;
     const double fy = y - j0;
-    const double v00 = (*this)(i0, j0);
-    const double v10 = (*this)(i1, j0);
-    const double v01 = (*this)(i0, j1);
-    const double v11 = (*this)(i1, j1);
+    const double v00 = row0[i0];
+    const double v10 = row0[i1];
+    const double v01 = row1[i0];
+    const double v11 = row1[i1];
     const double v0 = v00 + fx * (v10 - v00);
     const double v1 = v01 + fx * (v11 - v01);
     return static_cast<T>(v0 + fy * (v1 - v0));

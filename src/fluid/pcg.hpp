@@ -2,6 +2,7 @@
 
 #include "fluid/poisson.hpp"
 
+#include <cstdint>
 #include <vector>
 
 namespace sfn::fluid {
@@ -26,8 +27,16 @@ struct PcgParams {
 };
 
 /// Preconditioned conjugate gradients on the flag-aware pressure Laplacian.
-/// Matrix-free: the stencil is re-derived from the flags each solve, and
-/// the IC/MIC factorisation is rebuilt when the flags change.
+///
+/// The flags are compiled into a flat stencil (per-cell fluid and
+/// neighbour-coupling bits, the diagonal of A and the preconditioner
+/// factor) whenever they differ from the last solve's, so the iteration
+/// itself never consults the FlagGrid. Passes are fused: apply-A with its
+/// dot product, the p/r update with max|r| and the float copy of r, the
+/// backward IC/MIC sweep with dot(z, r). The triangular sweeps run in
+/// row-major order on the calling thread; every sum is combined in fixed
+/// row order (fluid/reduce.hpp), so the result is bit-identical for any
+/// OpenMP team size.
 class PcgSolver final : public PoissonSolver {
  public:
   explicit PcgSolver(PcgParams params = {}) : params_(params) {}
@@ -40,25 +49,29 @@ class PcgSolver final : public PoissonSolver {
   [[nodiscard]] const PcgParams& params() const { return params_; }
 
  private:
-  void build_preconditioner(const FlagGrid& flags);
-  void apply_preconditioner(const FlagGrid& flags, const GridF& r, GridF* z);
-  void ensure_scratch(int nx, int ny);
+  /// The flag grid compiled for the iteration, plus the per-solve vectors
+  /// sized to it. A new resolution reallocates; new flags at the same
+  /// resolution only recompute mask/diag/precond.
+  struct Stencil {
+    /// What mask/diag/precond were compiled from (empty before the
+    /// first solve, so it never equals a real flag grid).
+    FlagGrid flags;
+    std::vector<std::uint8_t> mask;  ///< Fluid + coupling bits per cell.
+    std::vector<double> diag;        ///< A's diagonal on fluid cells.
+    /// IC/MIC: diag^(-1/2) of the factor. Jacobi: 1 / diag.
+    std::vector<double> precond;
+    // Iteration vectors. Every cell a solve reads is written earlier in
+    // that same solve, so they are never cleared between solves.
+    std::vector<double> p, r, s, as, z, q;
+    std::vector<float> rf;            ///< r rounded for the preconditioner.
+    std::vector<double> row_partial;  ///< One dot-product partial per row.
+  };
+
+  void compile(const FlagGrid& flags);
+  void resize(int nx, int ny);
 
   PcgParams params_;
-  // Cached MIC/IC factor diag^(-1/2); rebuilt when the flag grid changes.
-  GridD precond_diag_;
-  FlagGrid cached_flags_;
-  bool precond_valid_ = false;
-
-  /// Per-solve vectors, hoisted out of solve() so the hundreds of solves a
-  /// simulation makes reuse one set of grids instead of reallocating seven
-  /// full grids per call. Every cell each solve reads is written earlier in
-  /// that same solve, so no per-call zeroing is needed (see solve()).
-  struct Scratch {
-    GridD p, r, s, as, z, ic_q;
-    GridF rf, zf;
-  };
-  Scratch scratch_;
+  Stencil st_;
 };
 
 }  // namespace sfn::fluid

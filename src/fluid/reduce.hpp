@@ -22,31 +22,21 @@ namespace sfn::fluid {
 /// for any thread count, including 1. Max-reductions do not need this
 /// treatment (IEEE max is order-independent); only +-reductions do.
 ///
-/// The partial buffers are thread_local so steady-state callers (PCG runs
-/// one dot per iteration) allocate only until the largest row count has
-/// been seen once on that thread.
+/// The partial buffers are thread_local so steady-state callers allocate
+/// only until the largest row count has been seen once on that thread.
 
-/// Sum of row_sum(j) for j in [0, ny), accumulation order fixed.
-/// `row_sum` must itself be deterministic (sequential within the row).
-template <typename RowFn>
-double deterministic_row_sum(int ny, RowFn&& row_sum) {
-  static thread_local std::vector<double> partials;
-  partials.assign(static_cast<std::size_t>(ny), 0.0);
-  // Hoist the data pointer: inside the parallel region the thread_local
-  // above would resolve to each *worker's* own (empty) vector.
-  double* const buffer = partials.data();
-#pragma omp parallel for schedule(static)
-  for (int j = 0; j < ny; ++j) {
-    buffer[j] = row_sum(j);
-  }
+/// Sum of per-row partials in ascending row order. Kernels that fuse a
+/// dot product into another pass (PcgSolver) fill one partial per row,
+/// each accumulated left to right, and combine them here.
+[[nodiscard]] inline double sum_in_row_order(const double* partials, int ny) {
   double acc = 0.0;
   for (int j = 0; j < ny; ++j) {
-    acc += buffer[j];
+    acc += partials[j];
   }
   return acc;
 }
 
-/// Variant for reductions that carry a sum and an element count (e.g. a
+/// Row-parallel reduction that carries a sum and an element count (e.g. a
 /// mean over fluid cells). `row_fn(j, &sum, &count)` fills the row's
 /// partials; combination order is fixed as above. The count is exact
 /// integer arithmetic either way — it rides along to keep one grid pass.
@@ -57,8 +47,8 @@ void deterministic_row_sum_count(int ny, RowFn&& row_fn, double* sum,
   static thread_local std::vector<long long> partial_counts;
   partial_sums.assign(static_cast<std::size_t>(ny), 0.0);
   partial_counts.assign(static_cast<std::size_t>(ny), 0);
-  // Hoisted for the same reason as in deterministic_row_sum: thread_local
-  // names must not be evaluated inside the parallel region.
+  // Hoist the data pointers: inside the parallel region the thread_locals
+  // above would resolve to each *worker's* own (empty) vectors.
   double* const sums = partial_sums.data();
   long long* const counts = partial_counts.data();
 #pragma omp parallel for schedule(static)

@@ -26,8 +26,7 @@ double neighbour_sum(const FlagGrid& flags, const GridF& p, int i, int j) {
   return acc;
 }
 
-}  // namespace
-
+/// One red-black Gauss-Seidel sweep (both colours).
 void rbgs_sweep(const FlagGrid& flags, const GridF& rhs, GridF* p) {
   const int nx = flags.nx();
   const int ny = flags.ny();
@@ -48,6 +47,8 @@ void rbgs_sweep(const FlagGrid& flags, const GridF& rhs, GridF* p) {
     }
   }
 }
+
+}  // namespace
 
 SolveStats JacobiSolver::solve(const FlagGrid& flags, const GridF& rhs,
                                GridF* pressure) {

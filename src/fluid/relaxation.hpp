@@ -12,8 +12,7 @@ struct RelaxationParams {
 };
 
 /// Weighted-Jacobi iteration on the pressure system. Slow but trivially
-/// parallel; kept as the classical low-accuracy baseline and as the
-/// multigrid smoother's reference implementation.
+/// parallel; kept as the classical low-accuracy baseline.
 class JacobiSolver final : public PoissonSolver {
  public:
   explicit JacobiSolver(RelaxationParams params = {}, double omega = 0.8)
@@ -42,8 +41,5 @@ class GaussSeidelSolver final : public PoissonSolver {
  private:
   RelaxationParams params_;
 };
-
-/// One red-black Gauss-Seidel sweep (both colours); exposed for multigrid.
-void rbgs_sweep(const FlagGrid& flags, const GridF& rhs, GridF* p);
 
 }  // namespace sfn::fluid

@@ -259,6 +259,15 @@ void SmokeSim::add_vorticity_confinement() {
   const double dx = 1.0 / nx;
   const auto eps_dt =
       static_cast<float>(params_.vorticity_confinement * dx * params_.dt);
+  // Half of each cell's force goes to each bounding face, and a face gets
+  // a half from both cells beside it. Compute the halves per cell, then
+  // gather them per face in the order a single row-major thread adds them
+  // (cell (i-1, j) before (i, j) on a u face, (i, j-1) before (i, j) on a
+  // v face), so no two threads update one face and the float sums do not
+  // depend on the team size. Cells that add nothing hold -0.0f, the exact
+  // identity of float addition.
+  GridF half_fx(nx, ny, -0.0f);
+  GridF half_fy(nx, ny, -0.0f);
 #pragma omp parallel for schedule(static)
   for (int j = 1; j < ny - 1; ++j) {
     for (int i = 1; i < nx - 1; ++i) {
@@ -270,11 +279,22 @@ void SmokeSim::add_vorticity_confinement() {
       const float norm = std::sqrt(gx * gx + gy * gy) + 1e-6f;
       const float fx = (gy / norm) * w(i, j) * eps_dt;
       const float fy = -(gx / norm) * w(i, j) * eps_dt;
-      // Spread the cell-centred force onto the bounding faces.
-      vel_.u()(i, j) += 0.5f * fx;
-      vel_.u()(i + 1, j) += 0.5f * fx;
-      vel_.v()(i, j) += 0.5f * fy;
-      vel_.v()(i, j + 1) += 0.5f * fy;
+      half_fx(i, j) = 0.5f * fx;
+      half_fy(i, j) = 0.5f * fy;
+    }
+  }
+  GridF& u = vel_.u();
+  GridF& v = vel_.v();
+#pragma omp parallel for schedule(static)
+  for (int j = 1; j < ny - 1; ++j) {
+    for (int i = 1; i < nx; ++i) {
+      u(i, j) = (u(i, j) + half_fx(i - 1, j)) + half_fx(i, j);
+    }
+  }
+#pragma omp parallel for schedule(static)
+  for (int j = 1; j < ny; ++j) {
+    for (int i = 1; i < nx - 1; ++i) {
+      v(i, j) = (v(i, j) + half_fy(i, j - 1)) + half_fy(i, j);
     }
   }
 }

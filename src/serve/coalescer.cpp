@@ -4,6 +4,8 @@
 #include "obs/trace.hpp"
 #include "util/config.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
 #include <chrono>
 #include <string_view>
@@ -140,6 +142,11 @@ void InferenceCoalescer::session_finished() {
 }
 
 void InferenceCoalescer::dispatcher_loop() {
+  // A batch of one runs on this thread (Network::forward_batch's inline
+  // path). Give it the one-thread team forward_batch gives its pool
+  // workers: a full-width team here would share the cores with every
+  // session worker's own team.
+  omp_set_num_threads(1);
   for (;;) {
     std::vector<Request*> batch;
     {

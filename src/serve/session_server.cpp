@@ -8,7 +8,10 @@
 #include "serve/scene_hash.hpp"
 #include "util/config.hpp"
 
+#include <omp.h>
+
 #include <algorithm>
+#include <thread>
 #include <utility>
 
 namespace sfn::serve {
@@ -78,6 +81,12 @@ const char* kind_name(bool adaptive) {
   return adaptive ? "adaptive" : "fixed";
 }
 
+int worker_team_size(std::size_t session_threads) {
+  const std::size_t hw = std::max(1u, std::thread::hardware_concurrency());
+  return static_cast<int>(
+      std::max<std::size_t>(1, hw / std::max<std::size_t>(1, session_threads)));
+}
+
 }  // namespace
 
 ServerConfig ServerConfig::from_env() {
@@ -119,8 +128,15 @@ ServerConfig ServerConfig::from_env() {
 
 SessionServer::SessionServer(ServerConfig config)
     : config_(config),
+      omp_threads_per_worker_(worker_team_size(config.session_threads)),
       coalescer_(config.batch),
-      pool_(std::max<std::size_t>(1, config.session_threads)) {
+      // Each worker's own OpenMP team: every session kernel runs a team
+      // on its worker thread, so session_threads teams of hw threads
+      // would oversubscribe the machine session_threads times over.
+      pool_(std::max<std::size_t>(1, config.session_threads),
+            [n = omp_threads_per_worker_] { omp_set_num_threads(n); }) {
+  static obs::Gauge& team_gauge = obs::gauge("serve.omp_threads_per_worker");
+  team_gauge.set(static_cast<double>(omp_threads_per_worker_));
   // Constructor-side validation mirrors from_env: a directly-constructed
   // config with a zero queue (or non-positive slice) must not be able to
   // deadlock submit either. Clamp with a warning event, don't throw — a

@@ -218,6 +218,14 @@ class SessionServer {
     return coalescer_;
   }
   [[nodiscard]] const ServerConfig& config() const { return config_; }
+  /// OpenMP team size each session worker set for itself at start:
+  /// max(1, hardware threads / session_threads), so the workers' kernel
+  /// teams together fill the machine instead of oversubscribing it.
+  /// Results do not depend on it (the fluid and nn kernels are team-size
+  /// invariant). Also the gauge serve.omp_threads_per_worker.
+  [[nodiscard]] int omp_threads_per_worker() const {
+    return omp_threads_per_worker_;
+  }
 
  private:
   enum class Kind { kFixed, kAdaptive };
@@ -281,6 +289,7 @@ class SessionServer {
       SFN_REQUIRES(mutex_);
 
   ServerConfig config_;
+  int omp_threads_per_worker_;
   InferenceCoalescer coalescer_;
 
   mutable util::Mutex mutex_;

@@ -6,11 +6,17 @@
 
 namespace sfn::util {
 
-ThreadPool::ThreadPool(std::size_t threads) {
+ThreadPool::ThreadPool(std::size_t threads) : ThreadPool(threads, [] {}) {}
+
+ThreadPool::ThreadPool(std::size_t threads,
+                       const std::function<void()>& on_start) {
   const std::size_t n = std::max<std::size_t>(1, threads);
   workers_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this, on_start] {
+      on_start();
+      worker_loop();
+    });
   }
 }
 

@@ -22,6 +22,10 @@ namespace sfn::util {
 class ThreadPool {
  public:
   explicit ThreadPool(std::size_t threads = std::thread::hardware_concurrency());
+  /// As above, with `on_start` run once on each worker thread before it
+  /// takes its first task (per-thread settings such as the OpenMP team
+  /// size).
+  ThreadPool(std::size_t threads, const std::function<void()>& on_start);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;

@@ -7,13 +7,18 @@
 // suite is the executable statement of that contract.
 
 #include "core/session.hpp"
+#include "obs/metrics.hpp"
 #include "serve/session_server.hpp"
 #include "serve_test_support.hpp"
 
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstring>
+#include <memory>
+#include <thread>
 #include <vector>
 
 namespace sfn {
@@ -191,6 +196,77 @@ TEST_F(ServeDeterminism, OmpTeamSizeDoesNotChangeResults) {
   expect_bit_identical(serial.final_density, parallel4.final_density,
                        "omp teams 1 vs 4");
   expect_same_events(serial.events, parallel4.events, "omp teams 1 vs 4");
+}
+
+/// Forwards to the wrapped solver and records the OpenMP team size of
+/// the thread that runs each solve (a session worker, when served).
+class TeamProbe final : public fluid::PoissonSolver {
+ public:
+  TeamProbe(std::unique_ptr<fluid::PoissonSolver> inner,
+            std::atomic<int>* lo, std::atomic<int>* hi)
+      : inner_(std::move(inner)), lo_(lo), hi_(hi) {}
+  fluid::SolveStats solve(const fluid::FlagGrid& flags,
+                          const fluid::GridF& rhs,
+                          fluid::GridF* pressure) override {
+    const int team = omp_get_max_threads();
+    int cur = lo_->load();
+    while (team < cur && !lo_->compare_exchange_weak(cur, team)) {
+    }
+    cur = hi_->load();
+    while (team > cur && !hi_->compare_exchange_weak(cur, team)) {
+    }
+    return inner_->solve(flags, rhs, pressure);
+  }
+  [[nodiscard]] std::string name() const override { return inner_->name(); }
+
+ private:
+  std::unique_ptr<fluid::PoissonSolver> inner_;
+  std::atomic<int>* lo_;
+  std::atomic<int>* hi_;
+};
+
+TEST_F(ServeDeterminism, WorkersRunWithinTheirOmpThreadBudget) {
+  // Each worker sets its own OpenMP team to hw / session_threads (at
+  // least 1) so concurrent sessions do not oversubscribe the cores; the
+  // kernels are team-size invariant, so served still equals solo.
+  const bool metrics_were_enabled = obs::metrics_enabled();
+  obs::set_metrics_enabled(true);
+  const int hw =
+      static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
+  std::vector<core::SessionResult> solo;
+  for (const auto& problem : problems_) {
+    solo.push_back(core::run_fixed(problem, model()));
+  }
+  for (std::size_t threads : {1u, 2u, 8u}) {
+    serve::ServerConfig config;
+    config.session_threads = threads;
+    serve::SessionServer server(config);
+    const int budget = std::max(1, hw / static_cast<int>(threads));
+    EXPECT_EQ(server.omp_threads_per_worker(), budget);
+    EXPECT_EQ(obs::gauge("serve.omp_threads_per_worker").value(), budget);
+
+    std::atomic<int> lo{1 << 30};
+    std::atomic<int> hi{0};
+    core::SessionConfig session;
+    session.solver_decorator =
+        [&](std::size_t, std::unique_ptr<fluid::PoissonSolver> inner)
+        -> std::unique_ptr<fluid::PoissonSolver> {
+      return std::make_unique<TeamProbe>(std::move(inner), &lo, &hi);
+    };
+    std::vector<serve::SessionServer::JobId> ids;
+    for (const auto& problem : problems_) {
+      ids.push_back(server.submit_fixed(problem, model(), session));
+    }
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      const auto result = server.wait(ids[i]);
+      expect_bit_identical(solo[i].final_density, result.final_density,
+                           "budget threads=" + std::to_string(threads) +
+                               " problem=" + std::to_string(i));
+    }
+    EXPECT_EQ(lo.load(), budget) << "threads=" << threads;
+    EXPECT_EQ(hi.load(), budget) << "threads=" << threads;
+  }
+  obs::set_metrics_enabled(metrics_were_enabled);
 }
 
 TEST_F(ServeDeterminism, SchedulerModesAgreeBitwise) {

@@ -2,7 +2,6 @@
 // size x seed x obstacle count), the discrete invariants that make the
 // Eulerian solver correct must hold exactly or to solver tolerance.
 
-#include "fluid/multigrid.hpp"
 #include "fluid/operators.hpp"
 #include "fluid/pcg.hpp"
 #include "fluid/relaxation.hpp"
@@ -124,25 +123,21 @@ TEST_P(ProjectionProperties, SolversAgreeOnRandomScenes) {
   fluid::GridF p_pcg(c.grid, c.grid, 0.0f);
   ASSERT_TRUE(pcg.solve(flags, rhs, &p_pcg).converged);
 
-  // The damped multigrid converges dependably but slowly; run a fixed
-  // cycle budget, require a large residual reduction, and bound the
-  // solution gap by the achieved residual's worst-case amplification
-  // through A^-1 (~(n/pi)^2 for smooth modes).
-  const double initial_residual =
-      fluid::poisson_residual(flags, rhs, fluid::GridF(c.grid, c.grid, 0.0f));
-  fluid::MultigridParams mg_params;
-  mg_params.tolerance = 1e-6;
-  mg_params.max_cycles = 200;
-  fluid::MultigridSolver mg(mg_params);
-  fluid::GridF p_mg(c.grid, c.grid, 0.0f);
-  const auto mg_stats = mg.solve(flags, rhs, &p_mg);
-  const double achieved = std::max(mg_stats.residual, 1e-8);
-  EXPECT_LT(achieved, initial_residual / 100.0);
+  // Unpreconditioned CG takes a different Krylov path to the same
+  // solution; bound the gap by the achieved residual's worst-case
+  // amplification through A^-1 (~(n/pi)^2 for smooth modes).
+  fluid::PcgParams cg_params = pcg_params;
+  cg_params.preconditioner = fluid::Preconditioner::kNone;
+  fluid::PcgSolver cg(cg_params);
+  fluid::GridF p_cg(c.grid, c.grid, 0.0f);
+  const auto cg_stats = cg.solve(flags, rhs, &p_cg);
+  ASSERT_TRUE(cg_stats.converged);
+  const double achieved = std::max(cg_stats.residual, 1e-8);
 
   double max_diff = 0.0;
   for (std::size_t k = 0; k < p_pcg.size(); ++k) {
     max_diff = std::max(
-        max_diff, std::abs(static_cast<double>(p_pcg[k]) - p_mg[k]));
+        max_diff, std::abs(static_cast<double>(p_pcg[k]) - p_cg[k]));
   }
   const double amplification =
       (c.grid / 3.14159) * (c.grid / 3.14159);

@@ -4,6 +4,9 @@
 #include "fluid/smoke_sim.hpp"
 
 #include <gtest/gtest.h>
+#include <omp.h>
+
+#include <cstring>
 
 namespace sfn {
 namespace {
@@ -197,6 +200,36 @@ TEST(SmokeSim, VorticityConfinementStaysStable) {
     ASSERT_GE(sim.density()[k], -1e-5f);
     ASSERT_LE(sim.density()[k], 1.0f + 1e-5f);
   }
+}
+
+TEST(SmokeSim, VorticityConfinementIsTeamSizeInvariant) {
+  // Neighbouring rows spread their confinement force onto a shared v
+  // face; the result must not depend on which thread owns which row.
+  const auto run = [](int team) {
+    const int prev = omp_get_max_threads();
+    omp_set_num_threads(team);
+    SmokeParams params;
+    params.vorticity_confinement = 8.0;
+    FlagGrid flags(64, 64, CellType::kFluid);
+    flags.set_smoke_box_boundary();
+    SmokeSim sim(params, std::move(flags));
+    PcgSolver pcg;
+    for (int step = 0; step < 30; ++step) {
+      sim.step(&pcg);
+    }
+    omp_set_num_threads(prev);
+    return sim;
+  };
+  const SmokeSim one = run(1);
+  const SmokeSim four = run(4);
+  const auto same_bits = [](const fluid::GridF& a, const fluid::GridF& b) {
+    return a.size() == b.size() &&
+           std::memcmp(a.data().data(), b.data().data(),
+                       a.size() * sizeof(float)) == 0;
+  };
+  EXPECT_TRUE(same_bits(one.density(), four.density()));
+  EXPECT_TRUE(same_bits(one.velocity().u(), four.velocity().u()));
+  EXPECT_TRUE(same_bits(one.velocity().v(), four.velocity().v()));
 }
 
 TEST(SmokeSim, MacCormackMatchesSetting) {

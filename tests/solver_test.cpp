@@ -1,4 +1,3 @@
-#include "fluid/multigrid.hpp"
 #include "fluid/operators.hpp"
 #include "fluid/pcg.hpp"
 #include "fluid/relaxation.hpp"
@@ -146,67 +145,6 @@ TEST(GaussSeidel, ConvergesFasterThanJacobi) {
   EXPECT_TRUE(js.converged);
   EXPECT_TRUE(gss.converged);
   EXPECT_LT(gss.iterations, js.iterations);
-}
-
-TEST(Multigrid, ConvergesAndMatchesPcg) {
-  const FlagGrid flags = open_box(32);
-  const GridF rhs = random_rhs(flags, 7);
-
-  GridF pmg(32, 32, 0.0f);
-  fluid::MultigridSolver mg;
-  const auto mg_stats = mg.solve(flags, rhs, &pmg);
-  EXPECT_TRUE(mg_stats.converged);
-  EXPECT_LE(fluid::poisson_residual(flags, rhs, pmg), 1e-6);
-
-  GridF ppcg(32, 32, 0.0f);
-  PcgSolver pcg;
-  pcg.solve(flags, rhs, &ppcg);
-
-  // The system is nonsingular (Dirichlet top row): solutions must agree.
-  double max_diff = 0.0;
-  for (int j = 0; j < 32; ++j) {
-    for (int i = 0; i < 32; ++i) {
-      max_diff = std::max(
-          max_diff, std::abs(static_cast<double>(pmg(i, j)) - ppcg(i, j)));
-    }
-  }
-  EXPECT_LT(max_diff, 1e-3);
-}
-
-TEST(Multigrid, BeatsGaussSeidelAtEqualSweepBudget) {
-  // The coarse correction must buy accuracy: at a matched smoothing
-  // budget, damped V-cycles reach a (much) lower residual than plain
-  // red-black Gauss-Seidel.
-  const FlagGrid flags = open_box(64);
-  const GridF rhs = random_rhs(flags, 8);
-
-  fluid::MultigridParams mg_params;
-  mg_params.tolerance = 0.0;  // Run exactly max_cycles.
-  mg_params.max_cycles = 20;
-  GridF pmg(64, 64, 0.0f);
-  fluid::MultigridSolver mg(mg_params);
-  mg.solve(flags, rhs, &pmg);
-  const double mg_residual = fluid::poisson_residual(flags, rhs, pmg);
-
-  // 20 cycles x (3 pre + 3 post) fine sweeps = 120 sweeps; give GS the
-  // same fine-grid budget.
-  GridF pgs(64, 64, 0.0f);
-  for (int s = 0; s < 120; ++s) {
-    fluid::rbgs_sweep(flags, rhs, &pgs);
-  }
-  const double gs_residual = fluid::poisson_residual(flags, rhs, pgs);
-  EXPECT_LT(mg_residual, 0.5 * gs_residual);
-}
-
-TEST(Multigrid, CoarsenFlagsSemantics) {
-  FlagGrid fine(4, 4, CellType::kSolid);
-  fine.set(0, 0, CellType::kFluid);   // -> coarse (0,0) fluid.
-  fine.set(2, 2, CellType::kEmpty);   // -> coarse (1,1) empty.
-  const auto coarse = fluid::coarsen_flags(fine);
-  EXPECT_EQ(coarse.nx(), 2);
-  EXPECT_EQ(coarse.at(0, 0), CellType::kFluid);
-  EXPECT_EQ(coarse.at(1, 1), CellType::kEmpty);
-  EXPECT_EQ(coarse.at(1, 0), CellType::kSolid);
 }
 
 // ---------------------------------------------------------------------------
